@@ -1,18 +1,17 @@
-//! Measures what the SoA distance kernel buys: single-shard insertion
-//! throughput (points/second) with the kernel disabled (scalar per-cluster
-//! distance loops), enabled once per compiled SIMD backend (packed
-//! centroid/noise matrices, runtime-dispatched vector ISA), enabled in
-//! opt-in f32 ranking mode, and enabled with mini-batch insertion, across
-//! dimensionalities and micro-cluster budgets.
+//! Measures what the SIMD backends of the SoA distance kernel buy:
+//! single-shard insertion throughput (points/second) once per compiled
+//! and available backend (packed centroid/noise matrices, forced vector
+//! ISA), per-point and with mini-batch insertion, across dimensionalities
+//! and micro-cluster budgets.
 //!
 //! ```text
 //! cargo run -p ustream-bench --release --bin fig_kernel_speedup -- \
 //!     --len 50000 --reps 3 [--strict]
 //! ```
 //!
-//! `--strict` exits non-zero when the auto-dispatched SIMD kernel fails to
-//! clear 1.5x over the forced-scalar kernel baseline on any sweep point
-//! with `dims >= 8` — the CI regression gate for the vector backends.
+//! `--strict` exits non-zero when the auto-dispatched SIMD backend fails
+//! to clear 1.5x over the scalar backend on any sweep point with
+//! `dims >= 8` — the CI regression gate for the vector backends.
 //! Narrower rows are excluded deliberately: at d=5 a row is one 4-lane
 //! chunk plus a tail element, so per-row vector setup costs as much as
 //! the arithmetic it saves and the scalar backend wins — no vector ISA
@@ -33,44 +32,30 @@ use ustream_bench::Args;
 use ustream_common::UncertainPoint;
 use ustream_synth::{NoisyStream, SynDriftConfig};
 
-/// Mini-batch size for the batched variant — large enough to amortise the
+/// Mini-batch size for the batched column — large enough to amortise the
 /// per-call kernel synchronisation check, small enough to stay cache-warm.
 const BATCH: usize = 256;
 
-/// SIMD-over-scalar-kernel floor enforced by `--strict`.
+/// SIMD-over-scalar-backend floor enforced by `--strict`.
 const STRICT_FLOOR: f64 = 1.5;
 
 /// `--strict` only gates sweep points at least this wide: below it a row
 /// fits in the canonical four scalar lanes and vector ISAs cannot win.
 const STRICT_MIN_DIMS: usize = 8;
 
-#[derive(Debug, Serialize)]
-struct BackendRow {
-    /// Kernel backend forced for this measurement.
-    backend: String,
-    /// Insertion throughput with the kernel on this backend.
-    kernel_pps: f64,
-    /// Speedup over the kernel-off scalar distance loops.
-    speedup: f64,
-}
-
+/// One backend at one sweep point.
 #[derive(Debug, Serialize)]
 struct Row {
     dims: usize,
     n_micro: usize,
-    scalar_pps: f64,
-    /// One measurement per compiled-and-available SIMD backend.
-    backends: Vec<BackendRow>,
-    /// Auto-dispatched backend (what production runs).
+    /// Kernel backend forced for this measurement.
+    backend: String,
+    /// Per-point insertion throughput.
     kernel_pps: f64,
-    /// Auto-dispatched backend with f32 scan + exact f64 re-check.
-    f32_pps: f64,
+    /// Mini-batch insertion throughput.
     batched_pps: f64,
-    kernel_speedup: f64,
-    /// Auto-dispatched SIMD kernel over the forced-scalar kernel: the
-    /// pure vector-ISA win, independent of the SoA-layout win.
-    simd_speedup: f64,
-    batched_speedup: f64,
+    /// `kernel_pps` over the scalar backend's at the same sweep point.
+    speedup: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -91,26 +76,30 @@ fn stream(dims: usize, len: usize, eta: f64, seed: u64) -> Vec<UncertainPoint> {
     NoisyStream::new(cfg.build(seed), eta, StdRng::seed_from_u64(seed ^ 0x0e7a)).collect()
 }
 
-fn config(n_micro: usize, dims: usize) -> UMicroConfig {
-    UMicroConfig::new(n_micro, dims).expect("valid config")
-}
-
-/// Best-of-`reps` insertion throughput with `prepare` applied to each
-/// fresh instance before timing starts.
+/// Best-of-`reps` insertion throughput on a fresh instance per rep, fed
+/// in blocks of `block` points (`1` = per-point `insert`).
 fn measure(
     points: &[UncertainPoint],
     n_micro: usize,
     dims: usize,
     reps: usize,
-    prepare: impl Fn(&mut UMicro),
+    block: usize,
 ) -> f64 {
     let mut best = 0.0f64;
+    let mut out = Vec::with_capacity(block);
     for _ in 0..reps {
-        let mut alg = UMicro::new(config(n_micro, dims));
-        prepare(&mut alg);
+        let mut alg = UMicro::new(UMicroConfig::new(n_micro, dims).expect("valid config"));
         let started = Instant::now();
-        for p in points {
-            black_box(alg.insert(p));
+        if block == 1 {
+            for p in points {
+                black_box(alg.insert(p));
+            }
+        } else {
+            for chunk in points.chunks(block) {
+                out.clear();
+                alg.insert_batch(chunk, &mut out);
+                black_box(out.len());
+            }
         }
         let rate = points.len() as f64 / started.elapsed().as_secs_f64().max(1e-9);
         best = best.max(rate);
@@ -128,118 +117,69 @@ fn main() {
 
     let dims_sweep = [5usize, 20, 50];
     let micro_sweep = [25usize, 100];
-    let auto_backend = simd::force(None).name().to_string();
+    let auto = simd::force(None);
+    let backends: Vec<Backend> = Backend::compiled()
+        .iter()
+        .copied()
+        .filter(|b| b.available())
+        .collect();
 
     let mut rows = Vec::new();
     let mut strict_ok = true;
     println!(
-        "{:>5} {:>8} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>8}",
-        "dims",
-        "n_micro",
-        "scalar_pps",
-        "kernel_pps",
-        "f32_pps",
-        "batched_pps",
-        "k_spd",
-        "simd",
-        "b_spd"
+        "{:>5} {:>8} {:>8} {:>12} {:>12} {:>8}",
+        "dims", "n_micro", "backend", "kernel_pps", "batched_pps", "speedup"
     );
     for &dims in &dims_sweep {
         let points = stream(dims, len, eta, seed);
         for &n_micro in &micro_sweep {
-            let scalar_pps = measure(&points, n_micro, dims, reps, |alg| {
-                alg.set_kernel_enabled(false);
-            });
-
-            let mut backends = Vec::new();
-            let mut scalar_kernel_pps = f64::NAN;
-            for &backend in Backend::compiled() {
-                if !backend.available() {
-                    continue;
-                }
+            let mut scalar_pps = f64::NAN;
+            for &backend in &backends {
                 simd::force(Some(backend));
-                let pps = measure(&points, n_micro, dims, reps, |_| {});
+                let kernel_pps = measure(&points, n_micro, dims, reps, 1);
+                let batched_pps = measure(&points, n_micro, dims, reps, BATCH);
                 if backend == Backend::Scalar {
-                    scalar_kernel_pps = pps;
+                    scalar_pps = kernel_pps;
                 }
-                backends.push(BackendRow {
+                let row = Row {
+                    dims,
+                    n_micro,
                     backend: backend.name().to_string(),
-                    kernel_pps: pps,
-                    speedup: pps / scalar_pps,
-                });
-            }
-            simd::force(None);
-
-            let kernel_pps = measure(&points, n_micro, dims, reps, |_| {});
-            let f32_pps = measure(&points, n_micro, dims, reps, |alg| {
-                alg.set_f32_rank(true);
-            });
-            let batched_pps = {
-                let mut best = 0.0f64;
-                let mut out = Vec::with_capacity(BATCH);
-                for _ in 0..reps {
-                    let mut alg = UMicro::new(config(n_micro, dims));
-                    let started = Instant::now();
-                    for chunk in points.chunks(BATCH) {
-                        out.clear();
-                        alg.insert_batch(chunk, &mut out);
-                        black_box(out.len());
-                    }
-                    let rate = points.len() as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                    best = best.max(rate);
-                }
-                best
-            };
-
-            let simd_speedup = kernel_pps / scalar_kernel_pps;
-            let below_floor = simd_speedup < STRICT_FLOOR || simd_speedup.is_nan();
-            if strict && dims >= STRICT_MIN_DIMS && below_floor {
-                strict_ok = false;
-                eprintln!(
-                    "STRICT: dims={dims} n_micro={n_micro}: auto backend is only \
-                     {simd_speedup:.2}x the scalar-backend kernel (floor {STRICT_FLOOR}x)"
-                );
-            }
-            let row = Row {
-                dims,
-                n_micro,
-                scalar_pps,
-                backends,
-                kernel_pps,
-                f32_pps,
-                batched_pps,
-                kernel_speedup: kernel_pps / scalar_pps,
-                simd_speedup,
-                batched_speedup: batched_pps / scalar_pps,
-            };
-            println!(
-                "{:>5} {:>8} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>8.2} {:>8.2} {:>8.2}",
-                row.dims,
-                row.n_micro,
-                row.scalar_pps,
-                row.kernel_pps,
-                row.f32_pps,
-                row.batched_pps,
-                row.kernel_speedup,
-                row.simd_speedup,
-                row.batched_speedup
-            );
-            for b in &row.backends {
+                    kernel_pps,
+                    batched_pps,
+                    speedup: kernel_pps / scalar_pps,
+                };
                 println!(
-                    "{:>5} {:>8} {:>12} {:>12.0} {:>12} {:>12} {:>8.2}",
-                    "", "", b.backend, b.kernel_pps, "", "", b.speedup
+                    "{:>5} {:>8} {:>8} {:>12.0} {:>12.0} {:>8.2}",
+                    row.dims,
+                    row.n_micro,
+                    row.backend,
+                    row.kernel_pps,
+                    row.batched_pps,
+                    row.speedup
                 );
+                let below_floor = row.speedup < STRICT_FLOOR || row.speedup.is_nan();
+                if strict && backend == auto && dims >= STRICT_MIN_DIMS && below_floor {
+                    strict_ok = false;
+                    eprintln!(
+                        "STRICT: dims={dims} n_micro={n_micro}: auto backend {} is only \
+                         {:.2}x the scalar backend (floor {STRICT_FLOOR}x)",
+                        auto.name(),
+                        row.speedup
+                    );
+                }
+                rows.push(row);
             }
-            rows.push(row);
         }
     }
+    simd::force(None);
 
     let report = Report {
         bench: "kernel_speedup".to_string(),
         len,
         reps,
         eta,
-        auto_backend,
+        auto_backend: auto.name().to_string(),
         rows,
     };
     let out = PathBuf::from("results/BENCH_kernel.json");

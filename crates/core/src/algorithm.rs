@@ -16,13 +16,12 @@
 
 use crate::boundary::{boundary_decision, BoundaryDecision};
 use crate::config::{BoundaryMode, SimilarityMode, UMicroConfig};
-use crate::distance::{corrected_sq_distance, expected_sq_distance};
+use crate::distance::corrected_sq_distance;
 use crate::ecf::Ecf;
 use crate::kernel::ClusterKernel;
 use crate::macrocluster::{macro_cluster_ecfs, MacroClustering};
-use crate::similarity::{dimension_counting_similarity, GlobalVariance};
+use crate::similarity::GlobalVariance;
 use crate::state::ClustererState;
-use ustream_common::point::sq_euclidean;
 use ustream_common::{AdditiveFeature, DecayableFeature, Timestamp, UStreamError, UncertainPoint};
 use ustream_snapshot::ClusterSetSnapshot;
 
@@ -88,12 +87,9 @@ pub struct UMicro {
     /// SoA mirror of `clusters` serving the hot ranking loop.
     kernel: ClusterKernel,
     /// Set whenever `clusters` may have changed without the kernel being
-    /// told (bulk restore, decay synchronisation, kernel toggling); the next
+    /// told (bulk restore, state import, decay synchronisation); the next
     /// ranking rebuilds before consulting any row.
     kernel_stale: bool,
-    /// Runtime switch; disabling falls back to the scalar per-ECF loops
-    /// (used by benches to measure the kernel's contribution).
-    kernel_enabled: bool,
     /// Cached `1/(thresh·σ_j²)` similarity coefficients (∞ = skip), kept in
     /// lockstep with `global`.
     scratch_inv: Vec<f64>,
@@ -117,7 +113,6 @@ impl UMicro {
             lambda: 0.0,
             kernel: ClusterKernel::new(dims),
             kernel_stale: false,
-            kernel_enabled: true,
             scratch_inv: vec![f64::INFINITY; dims],
         }
     }
@@ -150,24 +145,6 @@ impl UMicro {
         self.global.variances()
     }
 
-    /// Toggles the SoA distance kernel at runtime. Disabling routes ranking
-    /// through the scalar per-ECF loops; re-enabling rebuilds the kernel at
-    /// the next insertion. Benches use this to isolate the kernel's
-    /// contribution — production code leaves it on (the default).
-    pub fn set_kernel_enabled(&mut self, enabled: bool) {
-        self.kernel_enabled = enabled;
-        self.kernel_stale = true;
-    }
-
-    /// Opts the kernel's expected-distance ranking into (or out of) the
-    /// f32 pre-scan mode. The returned winner and distance stay
-    /// bit-identical to the pure-f64 scan — the pre-scan only prunes
-    /// rows, and every surviving candidate is re-ranked in exact f64 —
-    /// so this is purely a speed/bandwidth knob. Off by default.
-    pub fn set_f32_rank(&mut self, enabled: bool) {
-        self.kernel.set_f32_rank(enabled);
-    }
-
     /// The kernel, synchronised with the live cluster set — rebuilds first
     /// when stale. Row `i` mirrors `micro_clusters()[i]`; parity tests and
     /// diagnostics read cached invariants through this.
@@ -197,7 +174,7 @@ impl UMicro {
         let now = point.timestamp();
         self.inserted += 1;
         self.maybe_refresh_variances();
-        if self.kernel_enabled && self.kernel_stale {
+        if self.kernel_stale {
             self.sync_kernel();
         }
 
@@ -218,27 +195,18 @@ impl UMicro {
         }
 
         let best = self.closest_cluster(point);
-        let best_ecf = &self.clusters[best].ecf;
-        let live = self.kernel_live();
+        let expected_d2 = || {
+            self.kernel
+                .expected_sq_distance(point.values(), point.errors(), best)
+        };
         // Radius/distance pair per the configured boundary mode; the kernel
         // serves both radii and the expected distance from cached rows.
         let (radius, d2) = match self.config.boundary_mode {
-            BoundaryMode::UncertainRadius => {
-                let r = if live {
-                    self.kernel.uncertain_radius(best)
-                } else {
-                    best_ecf.uncertain_radius()
-                };
-                (r, self.expected_sq_distance_to(point, best))
-            }
-            BoundaryMode::ErrorCorrected => {
-                let r = if live {
-                    self.kernel.corrected_radius(best)
-                } else {
-                    best_ecf.corrected_radius()
-                };
-                (r, corrected_sq_distance(point, best_ecf))
-            }
+            BoundaryMode::UncertainRadius => (self.kernel.uncertain_radius(best), expected_d2()),
+            BoundaryMode::ErrorCorrected => (
+                self.kernel.corrected_radius(best),
+                corrected_sq_distance(point, &self.clusters[best].ecf),
+            ),
         };
 
         // A lone degenerate cluster has no neighbour to borrow a boundary
@@ -249,23 +217,16 @@ impl UMicro {
             && self.clusters.len() == 1
             && self.config.boundary_mode == BoundaryMode::ErrorCorrected
         {
-            let r = if live {
-                self.kernel.uncertain_radius(best)
-            } else {
-                best_ecf.uncertain_radius()
-            };
-            (r, self.expected_sq_distance_to(point, best))
+            (self.kernel.uncertain_radius(best), expected_d2())
         } else {
             (radius, d2)
         };
 
         // The fallback boundary for degenerate clusters needs the distance
-        // to the nearest other centroid; compute it only when needed.
-        let needs_fallback = radius <= self.config.degenerate_radius;
-        let nearest_other_sq = if needs_fallback && self.clusters.len() > 1 {
-            Some(self.nearest_other_centroid_sq(best))
-        } else if needs_fallback {
-            None
+        // to the nearest other centroid (`None` for a lone cluster);
+        // compute it only when needed.
+        let nearest_other_sq = if radius <= self.config.degenerate_radius {
+            self.kernel.nearest_other_centroid_sq(best)
         } else {
             Some(0.0) // unused by boundary_decision when radius is healthy
         };
@@ -284,11 +245,7 @@ impl UMicro {
                 }
                 cluster.ecf.insert(point);
                 let cluster_id = cluster.id;
-                if self.kernel_live() {
-                    self.kernel.refresh(best, &self.clusters[best].ecf);
-                } else {
-                    self.kernel_stale = true;
-                }
+                self.kernel.refresh(best, &self.clusters[best].ecf);
                 InsertOutcome {
                     cluster_id,
                     created: false,
@@ -316,7 +273,7 @@ impl UMicro {
     /// batch ingestion routes through.
     pub fn insert_batch(&mut self, points: &[UncertainPoint], out: &mut Vec<InsertOutcome>) {
         out.reserve(points.len());
-        if self.kernel_enabled && self.kernel_stale {
+        if self.kernel_stale {
             self.sync_kernel();
         }
         for p in points {
@@ -437,38 +394,17 @@ impl UMicro {
         &mut self.clusters
     }
 
-    /// Whether kernel rows may be consulted and incrementally maintained.
-    #[inline]
-    fn kernel_live(&self) -> bool {
-        self.kernel_enabled && !self.kernel_stale
-    }
-
     /// Rebuilds the kernel mirror from the live cluster set.
     fn sync_kernel(&mut self) {
         self.kernel.rebuild(self.clusters.iter().map(|c| &c.ecf));
         self.kernel_stale = false;
     }
 
-    /// Expected squared distance to cluster `idx` — cached rows when live,
-    /// the scalar Lemma 2.2 evaluation otherwise.
-    fn expected_sq_distance_to(&self, point: &UncertainPoint, idx: usize) -> f64 {
-        if self.kernel_live() {
-            self.kernel
-                .expected_sq_distance(point.values(), point.errors(), idx)
-        } else {
-            expected_sq_distance(point, &self.clusters[idx].ecf)
-        }
-    }
-
     fn create_cluster(&mut self, point: &UncertainPoint) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         let ecf = Ecf::from_point(point);
-        if self.kernel_live() {
-            self.kernel.push(&ecf);
-        } else {
-            self.kernel_stale = true;
-        }
+        self.kernel.push(&ecf);
         self.clusters.push(MicroCluster { id, ecf });
         id
     }
@@ -489,101 +425,38 @@ impl UMicro {
             .min_by_key(|(_, c)| (c.ecf.last_update(), c.id))
             .map(|(i, _)| i)?;
         let victim = self.clusters.swap_remove(victim_idx);
-        if self.kernel_live() {
-            // Mirror the swap-remove so row i keeps tracking cluster i.
-            self.kernel.swap_remove(victim_idx);
-        } else {
-            self.kernel_stale = true;
-        }
+        // Mirror the swap-remove so row i keeps tracking cluster i.
+        self.kernel.swap_remove(victim_idx);
         Some(victim.id)
     }
 
-    /// Index of the closest cluster under the configured similarity.
+    /// Index of the closest cluster under the configured similarity,
+    /// ranked on the synchronised kernel.
     fn closest_cluster(&self, point: &UncertainPoint) -> usize {
         debug_assert!(!self.clusters.is_empty());
-        match self.config.similarity {
-            SimilarityMode::ExpectedDistance => self.closest_by_expected_distance(point),
-            SimilarityMode::DimensionCounting { thresh } => {
-                if !self.global.is_informative() {
-                    // Early stream: no variance estimate yet.
-                    return self.closest_by_expected_distance(point);
-                }
-                if self.kernel_live() {
-                    let fused = self
-                        .kernel
-                        .rank_fused(point.values(), point.errors(), &self.scratch_inv)
-                        // lint:allow(hot-panic): kernel mirrors self.clusters, checked non-empty above
-                        .expect("ranking requires a non-empty cluster set");
-                    // The point earned no credit anywhere (far from all
-                    // clusters on every informative dimension): fall back
-                    // to expected-distance ranking, whose argmin the fused
-                    // sweep already carries — no second pass over the rows.
-                    return if fused.sim <= 0.0 {
-                        fused.dist_idx
-                    } else {
-                        fused.sim_idx
-                    };
-                }
-                let mut best = 0usize;
-                let mut best_sim = f64::NEG_INFINITY;
-                for (i, c) in self.clusters.iter().enumerate() {
-                    let s = dimension_counting_similarity(point, &c.ecf, &self.global, thresh);
-                    if s > best_sim {
-                        best_sim = s;
-                        best = i;
-                    }
-                }
-                if best_sim <= 0.0 {
-                    // Scalar fallback keeps the explicit second ranking pass.
-                    return self.closest_by_expected_distance(point);
-                }
-                best
+        let (values, errors) = (point.values(), point.errors());
+        // Dimension counting needs a variance estimate; early in the stream
+        // it ranks by expected distance instead.
+        if matches!(
+            self.config.similarity,
+            SimilarityMode::DimensionCounting { .. }
+        ) && self.global.is_informative()
+        {
+            if let Some(fused) = self.kernel.rank_fused(values, errors, &self.scratch_inv) {
+                // The point earned no credit anywhere (far from all
+                // clusters on every informative dimension): fall back to
+                // expected-distance ranking, whose argmin the fused sweep
+                // already carries — no second pass over the rows.
+                return if fused.sim <= 0.0 {
+                    fused.dist_idx
+                } else {
+                    fused.sim_idx
+                };
             }
         }
-    }
-
-    fn closest_by_expected_distance(&self, point: &UncertainPoint) -> usize {
-        if self.kernel_live() {
-            if let Some((best, _)) = self.kernel.nearest_expected(point.values(), point.errors()) {
-                return best;
-            }
-        }
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, c) in self.clusters.iter().enumerate() {
-            let d = expected_sq_distance(point, &c.ecf);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn nearest_other_centroid_sq(&self, idx: usize) -> f64 {
-        if self.kernel_live() {
-            return self
-                .kernel
-                .nearest_other_centroid_sq(idx)
-                .unwrap_or(f64::INFINITY);
-        }
-        // Scalar fallback: two reusable buffers instead of one fresh `Vec`
-        // per cluster visited.
-        let mut me = vec![0.0; self.config.dims];
-        self.clusters[idx].ecf.centroid_into(&mut me);
-        let mut other = vec![0.0; self.config.dims];
-        let mut best = f64::INFINITY;
-        for (i, c) in self.clusters.iter().enumerate() {
-            if i == idx {
-                continue;
-            }
-            c.ecf.centroid_into(&mut other);
-            let d = sq_euclidean(&me, &other);
-            if d < best {
-                best = d;
-            }
-        }
-        best
+        self.kernel
+            .nearest_expected(values, errors)
+            .map_or(0, |(best, _)| best)
     }
 
     fn maybe_refresh_variances(&mut self) {

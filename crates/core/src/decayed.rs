@@ -109,21 +109,10 @@ impl DecayedUMicro {
         self.inner.insert_batch(points, out);
     }
 
-    /// Toggles the SoA distance kernel; see [`UMicro::set_kernel_enabled`].
-    pub fn set_kernel_enabled(&mut self, enabled: bool) {
-        self.inner.set_kernel_enabled(enabled);
-    }
-
-    /// Opts ranking into the f32 pre-scan mode; see
-    /// [`UMicro::set_f32_rank`].
-    pub fn set_f32_rank(&mut self, enabled: bool) {
-        self.inner.set_f32_rank(enabled);
-    }
-
     /// The kernel, synchronised with the live cluster set; see
     /// [`UMicro::kernel_synced`]. (Synchronised with the *statistics as
     /// stored* — lazily decayed clusters are mirrored at their own reference
-    /// ticks, exactly as the scalar ranking sees them.)
+    /// ticks.)
     pub fn kernel_synced(&mut self) -> &crate::kernel::ClusterKernel {
         self.inner.kernel_synced()
     }

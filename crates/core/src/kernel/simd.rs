@@ -5,8 +5,7 @@
 //!
 //! | Backend    | Compiled on        | Selected when                         |
 //! |------------|--------------------|---------------------------------------|
-//! | `Scalar`   | everywhere         | forced, or unavailable fallback       |
-//! | `Portable` | everywhere         | no wider unit detected                |
+//! | `Scalar`   | everywhere         | forced, or no wider unit detected     |
 //! | `Avx2`     | `x86_64`           | `is_x86_feature_detected!("avx2")`    |
 //! | `Avx512`   | `x86_64`           | `avx512f` (+`avx2` for odd rows)      |
 //! | `Neon`     | `aarch64`          | always (NEON is baseline on aarch64)  |
@@ -27,8 +26,7 @@
 //! AVX2 maps the four lanes onto one `__m256d`. AVX-512 processes *two
 //! cluster rows per `__m512d`* (row `i` in lanes 0–3, row `i+1` in lanes
 //! 4–7) so each row still reduces over exactly four canonical lanes.
-//! NEON uses two `float64x2_t` halves. The portable backend uses plain
-//! `[f64; 4]` arithmetic the autovectorizer can widen.
+//! NEON uses two `float64x2_t` halves.
 //!
 //! Similarity credits clamp with `max(credit, 0.0)` where a NaN credit
 //! (skipped dimension: `0 · ∞`) must clamp to `0`. `f64::max`,
@@ -39,12 +37,12 @@
 //!
 //! [`active`] resolves the backend once (env override
 //! [`BACKEND_ENV`], else CPU feature detection) and caches it in an
-//! atomic; [`force`] overrides it process-wide (tests, the engine
-//! builder's forced-scalar knob). The `_with` variants take an explicit
-//! backend and never touch the global — parity tests use those. Calling
-//! a `_with` function with a backend that is not compiled in or whose
-//! CPU features are absent falls back to the scalar path rather than
-//! executing unsupported instructions, so every entry point stays safe.
+//! atomic; [`force`] overrides it process-wide (tests and benches). The
+//! `_with` variants take an explicit backend and never touch the global
+//! — parity tests use those. Calling a `_with` function with a backend
+//! that is not compiled in or whose CPU features are absent falls back
+//! to the scalar path rather than executing unsupported instructions, so
+//! every entry point stays safe.
 //!
 //! This is the single workspace module sanctioned to contain `unsafe`
 //! (the workspace otherwise denies `unsafe_code`); every `unsafe` site
@@ -54,9 +52,9 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Environment variable consulted on first dispatch: `scalar`,
-/// `portable`, `avx2`, `avx512`, `neon`, or `auto` (detect). Unknown
-/// values and unavailable backends degrade to `scalar`, never to UB.
+/// Environment variable consulted on first dispatch: `scalar`, `avx2`,
+/// `avx512`, `neon`, or `auto` (detect). Unknown values and unavailable
+/// backends degrade to `scalar`, never to UB.
 pub const BACKEND_ENV: &str = "USTREAM_KERNEL_BACKEND";
 
 /// A kernel compute backend. All backends produce bitwise-identical
@@ -67,36 +65,27 @@ pub enum Backend {
     /// Canonical four-accumulator scalar Rust; the always-correct
     /// fallback and the parity reference for every other backend.
     Scalar = 1,
-    /// Portable `[f64; 4]` lane arithmetic in safe Rust; relies on the
-    /// autovectorizer but fixes the reduction order explicitly.
-    Portable = 2,
     /// `std::arch` AVX2 intrinsics, 4 × f64 per register.
-    Avx2 = 3,
+    Avx2 = 2,
     /// `std::arch` AVX-512F intrinsics, two cluster rows per register
     /// (each row keeps its own four canonical lanes).
-    Avx512 = 4,
+    Avx512 = 3,
     /// `std::arch` NEON intrinsics (aarch64), 2 × 2 × f64 per row sweep.
-    Neon = 5,
+    Neon = 4,
 }
 
 #[cfg(target_arch = "x86_64")]
-const COMPILED: &[Backend] = &[
-    Backend::Scalar,
-    Backend::Portable,
-    Backend::Avx2,
-    Backend::Avx512,
-];
+const COMPILED: &[Backend] = &[Backend::Scalar, Backend::Avx2, Backend::Avx512];
 #[cfg(target_arch = "aarch64")]
-const COMPILED: &[Backend] = &[Backend::Scalar, Backend::Portable, Backend::Neon];
+const COMPILED: &[Backend] = &[Backend::Scalar, Backend::Neon];
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-const COMPILED: &[Backend] = &[Backend::Scalar, Backend::Portable];
+const COMPILED: &[Backend] = &[Backend::Scalar];
 
 impl Backend {
     /// Stable lower-case name, also accepted by [`Backend::parse`].
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Portable => "portable",
             Backend::Avx2 => "avx2",
             Backend::Avx512 => "avx512",
             Backend::Neon => "neon",
@@ -110,7 +99,6 @@ impl Backend {
         let s = s.trim();
         [
             Backend::Scalar,
-            Backend::Portable,
             Backend::Avx2,
             Backend::Avx512,
             Backend::Neon,
@@ -123,7 +111,7 @@ impl Backend {
     /// supported by the running CPU.
     pub fn available(self) -> bool {
         match self {
-            Backend::Scalar | Backend::Portable => true,
+            Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
@@ -147,10 +135,9 @@ impl Backend {
 
     fn from_u8(v: u8) -> Backend {
         match v {
-            2 => Backend::Portable,
-            3 => Backend::Avx2,
-            4 => Backend::Avx512,
-            5 => Backend::Neon,
+            2 => Backend::Avx2,
+            3 => Backend::Avx512,
+            4 => Backend::Neon,
             _ => Backend::Scalar,
         }
     }
@@ -208,7 +195,7 @@ pub fn active() -> Backend {
 /// Overrides the cached dispatch decision process-wide and returns what
 /// is now live. `Some(backend)` forces that backend (an unavailable one
 /// degrades to `Scalar`); `None` re-resolves from the environment and
-/// CPU detection. Used by tests and the engine builder's backend knob.
+/// CPU detection. Used by tests and benches.
 pub fn force(choice: Option<Backend>) -> Backend {
     let b = match choice {
         Some(b) if b.available() => b,
@@ -243,7 +230,7 @@ pub fn detect() -> Backend {
     } else if Backend::Avx2.available() {
         Backend::Avx2
     } else {
-        Backend::Portable
+        Backend::Scalar
     }
 }
 
@@ -258,7 +245,7 @@ pub fn detect() -> Backend {
 /// ignoring the environment override and the cached decision.
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub fn detect() -> Backend {
-    Backend::Portable
+    Backend::Scalar
 }
 
 // == Public entry points ================================================
@@ -273,7 +260,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 pub fn dot_with(backend: Backend, a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot operand length mismatch");
     match backend {
-        Backend::Portable => portable::dot(a, b),
         #[cfg(target_arch = "x86_64")]
         // AVX-512 reuses the AVX2 dot: a single vector pair has only
         // four canonical lanes, so a 512-bit register cannot help.
@@ -320,7 +306,6 @@ pub fn rank_min_score_with(
         "centroid matrix shape mismatch"
     );
     match backend {
-        Backend::Portable => portable::rank_min(centroids, self_moment, dims, x),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 if backend.available() => {
             // SAFETY: the guard above confirmed AVX2 support.
@@ -388,7 +373,6 @@ pub fn rank_fused_with(
     assert_eq!(centroids.len() % dims, 0, "centroid matrix shape mismatch");
     let rows = centroids.len() / dims;
     match backend {
-        Backend::Portable => portable::rank_fused(centroids, noise, rows, dims, x, errs, inv),
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 if backend.available() => {
             // SAFETY: the guard above confirmed AVX2 support.
@@ -407,78 +391,6 @@ pub fn rank_fused_with(
         }
         _ => scalar::rank_fused(centroids, noise, rows, dims, x, errs, inv),
     }
-}
-
-/// Single-precision pre-ranking pass for the opt-in f32 mode: fills
-/// `out[i] = self_moment_f32[i] − 2·⟨x, cᵢ⟩` in f32. This pass has **no**
-/// cross-backend parity contract (it only pre-filters candidates; the
-/// winner is re-derived in exact canonical f64), so backends may use any
-/// lane width here.
-pub fn fill_scores_f32(
-    centroids: &[f32],
-    self_moment: &[f32],
-    dims: usize,
-    x: &[f32],
-    out: &mut [f32],
-) {
-    fill_scores_f32_with(active(), centroids, self_moment, dims, x, out)
-}
-
-/// [`fill_scores_f32`] on an explicit backend.
-pub fn fill_scores_f32_with(
-    backend: Backend,
-    centroids: &[f32],
-    self_moment: &[f32],
-    dims: usize,
-    x: &[f32],
-    out: &mut [f32],
-) {
-    assert_eq!(x.len(), dims, "point dimensionality mismatch");
-    assert_eq!(out.len(), self_moment.len(), "score buffer length mismatch");
-    assert_eq!(
-        centroids.len(),
-        self_moment.len() * dims,
-        "centroid matrix shape mismatch"
-    );
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 | Backend::Avx512 if backend.available() => {
-            // SAFETY: both backends imply AVX2 support (checked above).
-            unsafe { x86::fill_scores_f32_avx2(centroids, self_moment, dims, x, out) }
-        }
-        _ => portable::fill_scores_f32(centroids, self_moment, dims, x, out),
-    }
-}
-
-/// Overwrites `dst` with `src` narrowed to `f32` (round-to-nearest).
-/// Lives here so the deliberate precision loss stays inside the one
-/// module scoped for it.
-pub fn narrow_into(dst: &mut Vec<f32>, src: &[f64]) {
-    dst.clear();
-    dst.extend(src.iter().map(|v| *v as f32));
-}
-
-/// Narrows one matrix row in place: `dst[j] = src[j] as f32`.
-pub fn narrow_row(dst: &mut [f32], src: &[f64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = *s as f32;
-    }
-}
-
-/// Narrows a single value to `f32` (round-to-nearest).
-pub fn narrow(v: f64) -> f32 {
-    v as f32
-}
-
-/// Relative error bound of an f32 score `sm − 2·⟨x, c⟩` over `dims`
-/// dimensions, used to build the sound candidate margin for the f32
-/// pre-ranking pass: `dims` rounding steps for the dot accumulation
-/// (any association order) plus a cushion for the narrowing of inputs,
-/// the multiply-by-two, and the subtraction. Each step contributes at
-/// most one half-ulp (`2⁻²⁴`) relative error in f32.
-pub fn f32_rank_slack(dims: usize) -> f64 {
-    const F32_HALF_ULP: f64 = 1.0 / 16_777_216.0; // 2⁻²⁴
-    (dims as f64 + 8.0) * 2.0 * F32_HALF_ULP
 }
 
 // == Scalar backend (the parity reference) ==============================
@@ -610,157 +522,13 @@ mod scalar {
     }
 }
 
-// == Portable lane backend ==============================================
-
-mod portable {
-    use super::FusedBest;
-
-    #[inline(always)]
-    fn load(s: &[f64], j: usize) -> [f64; 4] {
-        [s[j], s[j + 1], s[j + 2], s[j + 3]]
-    }
-
-    #[inline(always)]
-    fn add(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
-        let [a0, a1, a2, a3] = a;
-        let [b0, b1, b2, b3] = b;
-        [a0 + b0, a1 + b1, a2 + b2, a3 + b3]
-    }
-
-    #[inline(always)]
-    fn sub(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
-        let [a0, a1, a2, a3] = a;
-        let [b0, b1, b2, b3] = b;
-        [a0 - b0, a1 - b1, a2 - b2, a3 - b3]
-    }
-
-    #[inline(always)]
-    fn mul(a: [f64; 4], b: [f64; 4]) -> [f64; 4] {
-        let [a0, a1, a2, a3] = a;
-        let [b0, b1, b2, b3] = b;
-        [a0 * b0, a1 * b1, a2 * b2, a3 * b3]
-    }
-
-    /// Per-lane `max(x, 0.0)`; NaN clamps to 0 like `f64::max`.
-    #[inline(always)]
-    fn relu(a: [f64; 4]) -> [f64; 4] {
-        let [a0, a1, a2, a3] = a;
-        [a0.max(0.0), a1.max(0.0), a2.max(0.0), a3.max(0.0)]
-    }
-
-    #[inline(always)]
-    fn reduce(a: [f64; 4]) -> f64 {
-        let [a0, a1, a2, a3] = a;
-        (a0 + a1) + (a2 + a3)
-    }
-
-    pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let d = a.len();
-        let chunks = d / 4;
-        let mut acc = [0.0f64; 4];
-        for i in 0..chunks {
-            let j = 4 * i;
-            acc = add(acc, mul(load(a, j), load(b, j)));
-        }
-        for j in 4 * chunks..d {
-            acc[j % 4] += a[j] * b[j];
-        }
-        reduce(acc)
-    }
-
-    pub(super) fn rank_min(centroids: &[f64], sm: &[f64], dims: usize, x: &[f64]) -> (usize, f64) {
-        let mut best = 0usize;
-        let mut best_score = f64::INFINITY;
-        for (i, m) in sm.iter().enumerate() {
-            let row = &centroids[i * dims..i * dims + dims];
-            let score = *m - 2.0 * dot(x, row);
-            if score < best_score {
-                best = i;
-                best_score = score;
-            }
-        }
-        (best, best_score)
-    }
-
-    fn row_fused(c: &[f64], e: &[f64], x: &[f64], errs: &[f64], inv: &[f64]) -> (f64, f64) {
-        let d = x.len();
-        let chunks = d / 4;
-        let mut dacc = [0.0f64; 4];
-        let mut sacc = [0.0f64; 4];
-        let ones = [1.0f64; 4];
-        for i in 0..chunks {
-            let j = 4 * i;
-            let vx = load(x, j);
-            let vc = load(c, j);
-            let diff = sub(vx, vc);
-            let verr = load(errs, j);
-            let vj = add(add(mul(diff, diff), mul(verr, verr)), load(e, j));
-            dacc = add(dacc, vj);
-            sacc = add(sacc, relu(sub(ones, mul(vj, load(inv, j)))));
-        }
-        for j in 4 * chunks..d {
-            let f = x[j] - c[j];
-            let v = (f * f + errs[j] * errs[j]) + e[j];
-            dacc[j % 4] += v;
-            sacc[j % 4] += (1.0 - v * inv[j]).max(0.0);
-        }
-        (reduce(dacc), reduce(sacc))
-    }
-
-    pub(super) fn rank_fused(
-        centroids: &[f64],
-        noise: &[f64],
-        rows: usize,
-        dims: usize,
-        x: &[f64],
-        errs: &[f64],
-        inv: &[f64],
-    ) -> FusedBest {
-        let mut out = FusedBest::empty();
-        for i in 0..rows {
-            let row = &centroids[i * dims..i * dims + dims];
-            let erow = &noise[i * dims..i * dims + dims];
-            let (dist, sim) = row_fused(row, erow, x, errs, inv);
-            if dist < out.dist_score {
-                out.dist_idx = i;
-                out.dist_score = dist;
-            }
-            if sim > out.sim {
-                out.sim_idx = i;
-                out.sim = sim;
-            }
-        }
-        out
-    }
-
-    /// f32 pre-ranking scores; no parity contract, plain accumulation
-    /// the autovectorizer is free to widen.
-    pub(super) fn fill_scores_f32(
-        centroids: &[f32],
-        sm: &[f32],
-        dims: usize,
-        x: &[f32],
-        out: &mut [f32],
-    ) {
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &centroids[i * dims..i * dims + dims];
-            let mut acc = 0.0f32;
-            for (xv, cv) in x.iter().zip(row) {
-                acc += xv * cv;
-            }
-            *o = sm[i] - 2.0 * acc;
-        }
-    }
-}
-
 // == AVX2 / AVX-512 backends ============================================
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m512d, _mm256_add_pd, _mm256_add_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_max_pd,
-        _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_pd, _mm256_setzero_pd, _mm256_setzero_ps,
-        _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd, _mm512_add_pd, _mm512_broadcast_f64x4,
+        __m512d, _mm256_add_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_mul_pd, _mm256_set1_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd, _mm512_broadcast_f64x4,
         _mm512_castpd256_pd512, _mm512_insertf64x4, _mm512_max_pd, _mm512_mul_pd, _mm512_set1_pd,
         _mm512_setzero_pd, _mm512_storeu_pd, _mm512_sub_pd,
     };
@@ -1057,38 +825,6 @@ mod x86 {
         }
         out
     }
-
-    // SAFETY: caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fill_scores_f32_avx2(
-        centroids: &[f32],
-        sm: &[f32],
-        dims: usize,
-        x: &[f32],
-        out: &mut [f32],
-    ) {
-        let chunks = dims / 8;
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &centroids[i * dims..i * dims + dims];
-            let mut acc = _mm256_setzero_ps();
-            for k in 0..chunks {
-                let j = 8 * k;
-                // In-bounds: j + 7 < 8 * chunks <= dims.
-                let vx = _mm256_loadu_ps(x.as_ptr().add(j));
-                let vc = _mm256_loadu_ps(row.as_ptr().add(j));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(vx, vc));
-            }
-            let mut l = [0.0f32; 8];
-            _mm256_storeu_ps(l.as_mut_ptr(), acc);
-            let mut tail = 0.0f32;
-            for j in 8 * chunks..dims {
-                tail += x[j] * row[j];
-            }
-            let [l0, l1, l2, l3, l4, l5, l6, l7] = l;
-            let dp = (((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))) + tail;
-            *o = sm[i] - 2.0 * dp;
-        }
-    }
 }
 
 // == NEON backend (aarch64) =============================================
@@ -1282,9 +1018,8 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_portable_always_available() {
+    fn scalar_always_available() {
         assert!(Backend::Scalar.available());
-        assert!(Backend::Portable.available());
         assert!(detect().available());
     }
 
@@ -1406,35 +1141,6 @@ mod tests {
                 0.0f64.to_bits(),
                 "{be:?} credit not clamped"
             );
-        }
-    }
-
-    #[test]
-    fn f32_scores_close_to_f64_scores() {
-        let dims = 9usize;
-        let rows = 12usize;
-        let mut st = 0x3c3c_u64;
-        let centroids = vec_of(rows * dims, &mut st);
-        let sm = vec_of(rows, &mut st);
-        let x = vec_of(dims, &mut st);
-        let mut c32 = Vec::new();
-        let mut sm32 = Vec::new();
-        let mut x32 = Vec::new();
-        narrow_into(&mut c32, &centroids);
-        narrow_into(&mut sm32, &sm);
-        narrow_into(&mut x32, &x);
-        let mut out = vec![0.0f32; rows];
-        for be in usable() {
-            fill_scores_f32_with(be, &c32, &sm32, dims, &x32, &mut out);
-            for (i, s32) in out.iter().enumerate() {
-                let row = &centroids[i * dims..i * dims + dims];
-                let exact = sm[i] - 2.0 * dot_with(Backend::Scalar, x.as_slice(), row);
-                let bound = f32_rank_slack(dims) * (exact.abs() + 8.0) + 1e-6;
-                assert!(
-                    (f64::from(*s32) - exact).abs() <= bound,
-                    "{be:?} row {i}: {s32} vs {exact}"
-                );
-            }
         }
     }
 

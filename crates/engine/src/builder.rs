@@ -1,12 +1,11 @@
 //! The one way to construct a [`StreamEngine`].
 //!
-//! The engine grew its knobs one PR at a time — validation, watchdog, load
-//! policy, checkpointing, snapshot budgets — and with them a zoo of
-//! positional constructors (`start`, `start_with`) over an
-//! assert-happy [`EngineConfig`]. [`EngineBuilder`] replaces that surface
-//! with a single chained-setter builder whose `build()` *returns* a
-//! [`UStreamError::InvalidConfig`] instead of panicking, so servers can
-//! reject a bad tenant configuration without dying.
+//! The engine has many knobs — validation, watchdog, load policy,
+//! checkpointing, snapshot budgets — over an assert-happy
+//! [`EngineConfig`]. [`EngineBuilder`] is a single chained-setter builder
+//! whose `build()` *returns* a [`UStreamError::InvalidConfig`] instead of
+//! panicking, so servers can reject a bad tenant configuration without
+//! dying.
 //!
 //! ```
 //! use ustream_engine::{EngineBuilder, LoadPolicy, WatchdogConfig};
@@ -32,7 +31,6 @@ use crate::config::{EngineConfig, NoveltyBaseline};
 use crate::engine::{DynClusterer, StreamEngine};
 use crate::load::{LoadPolicy, WatchdogConfig};
 use crate::validate::{BackpressurePolicy, ValidationPolicy};
-use umicro::kernel::simd;
 use umicro::UMicroConfig;
 use ustream_common::{Result, UStreamError};
 use ustream_snapshot::{PyramidConfig, SnapshotBudget};
@@ -48,7 +46,6 @@ use ustream_snapshot::{PyramidConfig, SnapshotBudget};
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     config: EngineConfig,
-    kernel_backend: Option<String>,
 }
 
 impl EngineBuilder {
@@ -57,32 +54,13 @@ impl EngineBuilder {
     pub fn new(umicro: UMicroConfig) -> Self {
         Self {
             config: EngineConfig::new(umicro),
-            kernel_backend: None,
         }
     }
 
     /// A builder seeded from an existing configuration (e.g. one read back
     /// from a checkpoint) — setters override individual fields from there.
     pub fn from_config(config: EngineConfig) -> Self {
-        Self {
-            config,
-            kernel_backend: None,
-        }
-    }
-
-    /// Forces the kernel SIMD backend *process-wide* when the engine is
-    /// built: `scalar`, `portable`, `avx2`, `avx512`, `neon`, or `auto`
-    /// (re-run feature detection, honouring the `USTREAM_KERNEL_BACKEND`
-    /// environment variable). Unknown names and backends the running CPU
-    /// cannot execute are an [`UStreamError::InvalidConfig`] at build
-    /// time, so operators learn at boot rather than from silent
-    /// degradation. All backends return bitwise-identical results; the
-    /// forced-scalar knob exists for tests and for isolating kernel
-    /// speedups in benches. Unset leaves the process's current dispatch
-    /// decision untouched.
-    pub fn kernel_backend(mut self, backend: impl Into<String>) -> Self {
-        self.kernel_backend = Some(backend.into());
-        self
+        Self { config }
     }
 
     /// Number of shard workers (round-robin routing, exact periodic merge).
@@ -195,7 +173,6 @@ impl EngineBuilder {
     ///
     /// [`UStreamError::InvalidConfig`] describing the first invalid field.
     pub fn into_config(self) -> Result<EngineConfig> {
-        self.resolve_kernel_backend()?;
         validate(&self.config)?;
         Ok(self.config)
     }
@@ -208,17 +185,13 @@ impl EngineBuilder {
     /// [`UStreamError::InvalidConfig`] for a bad configuration,
     /// [`UStreamError::Io`] when a worker thread cannot be spawned.
     pub fn build(self) -> Result<StreamEngine> {
-        let choice = self.resolve_kernel_backend()?;
-        let config = self.into_config()?;
-        if let Some(choice) = choice {
-            simd::force(choice);
-        }
-        StreamEngine::launch_default(config)
+        StreamEngine::launch_default(self.into_config()?)
     }
 
     /// Validates and starts the engine with caller-supplied clusterers —
-    /// the builder counterpart of the old `start_with`. The factory is
-    /// invoked once per shard index (and again on supervised respawn).
+    /// any [`umicro::OnlineClusterer`] over ECF summaries. The factory is
+    /// invoked once per shard index (and again on supervised respawn); it
+    /// is responsible for sizing each shard's budget.
     ///
     /// # Errors
     ///
@@ -228,36 +201,7 @@ impl EngineBuilder {
         self,
         clusterer: impl Fn(usize) -> DynClusterer + Send + Sync + 'static,
     ) -> Result<StreamEngine> {
-        let choice = self.resolve_kernel_backend()?;
-        let config = self.into_config()?;
-        if let Some(choice) = choice {
-            simd::force(choice);
-        }
-        StreamEngine::launch(config, clusterer)
-    }
-
-    /// Maps the requested backend name to a [`simd::force`] argument:
-    /// outer `None` — nothing requested, leave dispatch alone;
-    /// `Some(None)` — `auto`, re-run detection; `Some(Some(b))` — force
-    /// that backend.
-    fn resolve_kernel_backend(&self) -> Result<Option<Option<simd::Backend>>> {
-        let Some(name) = self.kernel_backend.as_deref() else {
-            return Ok(None);
-        };
-        if name.trim().eq_ignore_ascii_case("auto") {
-            return Ok(Some(None));
-        }
-        match simd::Backend::parse(name) {
-            Some(b) if b.available() => Ok(Some(Some(b))),
-            Some(b) => Err(UStreamError::InvalidConfig(format!(
-                "kernel backend `{}` is not available on this CPU",
-                b.name()
-            ))),
-            None => Err(UStreamError::InvalidConfig(format!(
-                "unknown kernel backend `{name}` \
-                 (expected scalar|portable|avx2|avx512|neon|auto)"
-            ))),
-        }
+        StreamEngine::launch(self.into_config()?, clusterer)
     }
 }
 
@@ -420,7 +364,6 @@ mod tests {
                 base().snapshot_budget(SnapshotBudget::by_snapshots(0)),
                 "snapshots",
             ),
-            (base().kernel_backend("sse9"), "unknown kernel backend"),
         ];
         for (builder, needle) in cases {
             match builder.build() {
@@ -429,39 +372,6 @@ mod tests {
                 }
                 Err(other) => panic!("expected InvalidConfig mentioning `{needle}`, got {other}"),
                 Ok(_) => panic!("expected InvalidConfig mentioning `{needle}`, got an engine"),
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_backend_knob_forces_and_reports_the_backend() {
-        // Forcing scalar is valid on every machine; the engine report
-        // must surface what is actually live. Restore auto-detection
-        // afterwards so parallel tests in this binary see a real backend.
-        let engine = base().kernel_backend("scalar").build().unwrap();
-        engine.push(pt(1.0, 1)).unwrap();
-        engine.flush();
-        let report = engine.stats();
-        assert_eq!(report.kernel_backend, "scalar");
-        engine.shutdown();
-        assert_eq!(simd::force(None), simd::detect());
-    }
-
-    #[test]
-    fn unavailable_kernel_backend_is_rejected_at_build_time() {
-        // At least one compiled backend name is unavailable on any given
-        // machine (neon on x86_64, avx2/avx512 on aarch64) — it must be
-        // an InvalidConfig, not a silent fallback.
-        let unavailable = ["scalar", "portable", "avx2", "avx512", "neon"]
-            .iter()
-            .find(|n| simd::Backend::parse(n).is_some_and(|b| !b.available()));
-        if let Some(name) = unavailable {
-            match base().kernel_backend(*name).build() {
-                Err(UStreamError::InvalidConfig(msg)) => {
-                    assert!(msg.contains("not available"), "{msg}");
-                }
-                Err(other) => panic!("expected InvalidConfig, got {other}"),
-                Ok(_) => panic!("expected InvalidConfig, got an engine"),
             }
         }
     }
@@ -479,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_engine_matches_deprecated_start() {
+    fn build_matches_build_with_the_default_factory() {
         let drive = |engine: StreamEngine| {
             for t in 1..=80 {
                 engine
@@ -493,14 +403,17 @@ mod tests {
             engine.shutdown();
             (ids, n)
         };
-        let via_builder = drive(base().shards(2).build().unwrap());
-        #[allow(deprecated)]
-        let via_start = drive(
-            StreamEngine::start(
-                EngineConfig::new(UMicroConfig::new(16, 2).unwrap()).with_shards(2),
-            )
-            .unwrap(),
+        let via_build = drive(base().shards(2).build().unwrap());
+        let config = base().shards(2).into_config().unwrap();
+        let mut shard_umicro = config.umicro.clone();
+        shard_umicro.n_micro = config.shard_n_micro();
+        let via_build_with = drive(
+            EngineBuilder::from_config(config)
+                .build_with(move |_shard| -> DynClusterer {
+                    Box::new(UMicro::new(shard_umicro.clone()))
+                })
+                .unwrap(),
         );
-        assert_eq!(via_builder, via_start);
+        assert_eq!(via_build, via_build_with);
     }
 }

@@ -878,42 +878,6 @@ pub struct StreamEngine {
 }
 
 impl StreamEngine {
-    /// Starts the shard workers with the default UMicro clusterers (decayed
-    /// when `config.decay_half_life` is set), each holding an even share of
-    /// the global `n_micro` budget.
-    ///
-    /// # Errors
-    ///
-    /// [`UStreamError::Io`] when a worker thread cannot be spawned (the
-    /// already-started workers are shut down cleanly first).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use EngineBuilder::new(umicro).build() — one builder replaces the start/start_with constructor zoo"
-    )]
-    pub fn start(config: EngineConfig) -> Result<Self> {
-        Self::launch_default(config)
-    }
-
-    /// Starts the shard workers with caller-supplied clusterers — any
-    /// [`OnlineClusterer`] over ECF summaries. The factory is invoked once
-    /// per shard index at startup (and again for a shard whose worker
-    /// respawns after a panic); it is responsible for sizing each shard's
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// [`UStreamError::Io`] when a worker thread cannot be spawned.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use EngineBuilder::new(umicro).build_with(factory) — one builder replaces the start/start_with constructor zoo"
-    )]
-    pub fn start_with(
-        config: EngineConfig,
-        clusterer: impl Fn(usize) -> DynClusterer + Send + Sync + 'static,
-    ) -> Result<Self> {
-        Self::launch(config, clusterer)
-    }
-
     /// [`Self::launch`] with the default UMicro clusterers (decayed when
     /// `config.decay_half_life` is set), each holding an even share of the
     /// global `n_micro` budget.
@@ -931,8 +895,7 @@ impl StreamEngine {
 
     /// The real engine startup: spawns shard workers (and the governor when
     /// configured) for a validated configuration. Reached through
-    /// [`EngineBuilder`](crate::EngineBuilder) and the deprecated
-    /// `start`/`start_with` wrappers.
+    /// [`EngineBuilder`](crate::EngineBuilder).
     pub(crate) fn launch(
         config: EngineConfig,
         clusterer: impl Fn(usize) -> DynClusterer + Send + Sync + 'static,
@@ -1104,8 +1067,10 @@ impl StreamEngine {
     }
 
     /// [`Self::restore`] with a caller-supplied clusterer factory (the
-    /// counterpart of [`Self::start_with`]). The factory-built clusterers
-    /// must support [`OnlineClusterer::import_state`].
+    /// counterpart of
+    /// [`EngineBuilder::build_with`](crate::EngineBuilder::build_with)).
+    /// The factory-built clusterers must support
+    /// [`OnlineClusterer::import_state`].
     pub fn restore_with(
         path: &str,
         clusterer: impl Fn(usize) -> DynClusterer + Send + Sync + 'static,
@@ -2483,7 +2448,7 @@ mod tests {
 
     #[test]
     fn custom_clusterer_factory() {
-        // start_with lets callers supply their own OnlineClusterer stack.
+        // build_with lets callers supply their own OnlineClusterer stack.
         let config = EngineConfig::new(UMicroConfig::new(6, 2).unwrap());
         let shard_cfg = {
             let mut c = config.umicro.clone();

@@ -150,8 +150,8 @@ pub struct EngineReport {
     /// shortened the rings.
     pub horizon_error_bound: f64,
     /// Name of the kernel SIMD backend live in this process (`scalar`,
-    /// `portable`, `avx2`, `avx512`, `neon`) — operators use this to
-    /// confirm which compute path production is actually on.
+    /// `avx2`, `avx512`, `neon`) — operators use this to confirm which
+    /// compute path production is actually on.
     pub kernel_backend: &'static str,
     /// Corrupt or unreadable checkpoint generations the restore path had
     /// to skip when this engine was rebuilt from disk (0 for engines that

@@ -422,8 +422,8 @@ pub struct WireServerStats {
     /// Capacity of the bounded worker queue.
     pub queue_capacity: usize,
     /// Name of the kernel SIMD backend live in the serving process
-    /// (`scalar`, `portable`, `avx2`, `avx512`, `neon`) — lets operators
-    /// confirm which compute path production traffic is on.
+    /// (`scalar`, `avx2`, `avx512`, `neon`) — lets operators confirm
+    /// which compute path production traffic is on.
     pub kernel_backend: String,
 }
 
