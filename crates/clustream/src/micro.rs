@@ -107,6 +107,10 @@ pub struct CluStream {
     /// Set when `clusters` changed behind the kernel's back (k-means
     /// seeding); the next insertion rebuilds before ranking.
     kernel_stale: bool,
+    /// All-zero error row for the kernel's corrected sweep: with zero
+    /// point errors and zero noise rows it is plain squared Euclidean
+    /// distance.
+    zero_errors: Vec<f64>,
 }
 
 impl CluStream {
@@ -124,6 +128,7 @@ impl CluStream {
             inserted: 0,
             kernel: ClusterKernel::new(dims),
             kernel_stale: false,
+            zero_errors: vec![0.0; dims],
         }
     }
 
@@ -149,6 +154,19 @@ impl CluStream {
             self.sync_kernel();
         }
         &self.kernel
+    }
+
+    /// Euclidean distance from `point` to the nearest centroid (error
+    /// vector ignored), served by the kernel's corrected sweep with a zero
+    /// error row after a rebuild when stale. `None` while no cluster is
+    /// finitely near.
+    pub fn isolation(&mut self, point: &UncertainPoint) -> Option<f64> {
+        if self.kernel_stale {
+            self.sync_kernel();
+        }
+        self.kernel
+            .nearest_corrected_sq(point.values(), &self.zero_errors)
+            .map(f64::sqrt)
     }
 
     /// Processes one stream point (error vector ignored).

@@ -155,6 +155,18 @@ impl UMicro {
         &self.kernel
     }
 
+    /// Error-corrected distance from `point` to the nearest micro-cluster
+    /// (the square root of the minimum
+    /// [`corrected_sq_distance`](crate::distance::corrected_sq_distance)),
+    /// served by the kernel's corrected sweep after a rebuild when stale.
+    /// `None` while no cluster is finitely near — an empty model, or a
+    /// non-finite point.
+    pub fn isolation(&mut self, point: &UncertainPoint) -> Option<f64> {
+        self.kernel_synced()
+            .nearest_corrected_sq(point.values(), point.errors())
+            .map(f64::sqrt)
+    }
+
     /// Processes one stream point and reports where it went.
     ///
     /// # Panics

@@ -117,6 +117,12 @@ impl DecayedUMicro {
         self.inner.kernel_synced()
     }
 
+    /// Error-corrected distance to the nearest micro-cluster over the
+    /// statistics as stored; see [`UMicro::isolation`].
+    pub fn isolation(&mut self, point: &UncertainPoint) -> Option<f64> {
+        self.inner.isolation(point)
+    }
+
     /// Brings every micro-cluster's statistics current to tick `now` and
     /// drops clusters whose decayed weight fell below the floor.
     pub fn synchronize(&mut self, now: Timestamp) {

@@ -19,6 +19,18 @@
 //! (`noise ≡ 0`) and the dimension-counting similarity (the cached
 //! `EF2_j/W²` row replaces the per-dimension division).
 //!
+//! Three sweeps run over those rows on the dispatched SIMD backend
+//! ([`simd`]):
+//!
+//! 1. [`simd::rank_min_score`] — the expected-distance argmin above;
+//! 2. [`simd::rank_fused`] — expected distance and dimension-counting
+//!    similarity from one pass, the insertion ranking;
+//! 3. [`simd::rank_corrected`] — the minimum error-corrected distance
+//!    `Σ_j max(0, (x_j − c_ij)² − ψ_j² − EF2_ij/W_i²)` over every row,
+//!    the pre-insertion isolation novelty detection reads
+//!    ([`ClusterKernel::nearest_corrected_sq`]). With a zero error row it
+//!    is CluStream's plain squared Euclidean distance.
+//!
 //! ## Invariant maintenance
 //!
 //! The kernel mirrors an owner's cluster list index-for-index. Owners call
@@ -305,6 +317,21 @@ impl ClusterKernel {
         ))
     }
 
+    /// Error-corrected squared distance
+    /// ([`crate::distance::corrected_sq_distance`]) from a point to the
+    /// nearest cluster, from the cached centroid and noise rows alone (the
+    /// third sweep, [`simd::rank_corrected`]). A row with a NaN or `−∞`
+    /// term is infinitely far; `None` when the kernel is empty or no row
+    /// is finitely near.
+    pub fn nearest_corrected_sq(&self, values: &[f64], errors: &[f64]) -> Option<f64> {
+        debug_assert_eq!(values.len(), self.dims);
+        if self.len == 0 {
+            return None;
+        }
+        let best = simd::rank_corrected(&self.centroids, &self.noise, self.dims, values, errors);
+        best.is_finite().then_some(best)
+    }
+
     /// Squared Euclidean distance from cluster `i`'s centroid to the nearest
     /// *other* cached centroid — the degenerate-boundary fallback, computed
     /// without allocating. `None` when no other cluster exists.
@@ -519,6 +546,7 @@ mod tests {
     fn empty_kernel_is_defensive() {
         let k = ClusterKernel::new(3);
         assert!(k.is_empty());
+        assert!(k.nearest_corrected_sq(&[0.0; 3], &[0.0; 3]).is_none());
         assert!(k.nearest_expected(&[0.0; 3], &[0.0; 3]).is_none());
         assert!(k.nearest_deterministic(&[0.0; 3]).is_none());
         assert!(k.rank_fused(&[0.0; 3], &[0.0; 3], &[1.0; 3]).is_none());

@@ -33,6 +33,12 @@
 //! `_mm256_max_pd`/`_mm512_max_pd` (NaN in the first operand returns the
 //! second) and NEON `vmaxnmq_f64` (IEEE maxNum) all agree on that.
 //!
+//! The error-corrected isolation sweep ([`rank_corrected`]) must not
+//! clamp a poisoned term to zero: each backend compares `t > −∞` (false
+//! for NaN and `−∞`) and blends `+∞` into those lanes
+//! (`_mm256_blendv_pd`, `_mm512_mask_blend_pd`, `vbslq_f64`), exactly
+//! the scalar branch, so a poisoned row sums to `+∞` on every backend.
+//!
 //! # Dispatch
 //!
 //! [`active`] resolves the backend once (env override
@@ -393,6 +399,63 @@ pub fn rank_fused_with(
     }
 }
 
+/// Error-corrected isolation sweep on the [`active`] backend: the minimum
+/// over rows of `Σⱼ max(0, ((xⱼ−cᵢⱼ)² − ψⱼ²) − eᵢⱼ)`, the clean-position
+/// squared distance of
+/// [`corrected_sq_distance`](crate::distance::corrected_sq_distance)
+/// served from the kernel's cached centroid and `EF2/W²` rows — no
+/// division. A NaN or `−∞` term (a non-finite coordinate, error or noise
+/// entry) makes its row infinitely far instead of clamping to zero, so a
+/// poisoned row never wins. Returns `INFINITY` for an empty matrix or when
+/// every row is poisoned.
+pub fn rank_corrected(
+    centroids: &[f64],
+    noise: &[f64],
+    dims: usize,
+    x: &[f64],
+    errs: &[f64],
+) -> f64 {
+    rank_corrected_with(active(), centroids, noise, dims, x, errs)
+}
+
+/// [`rank_corrected`] on an explicit backend.
+pub fn rank_corrected_with(
+    backend: Backend,
+    centroids: &[f64],
+    noise: &[f64],
+    dims: usize,
+    x: &[f64],
+    errs: &[f64],
+) -> f64 {
+    assert_eq!(x.len(), dims, "point dimensionality mismatch");
+    assert_eq!(errs.len(), dims, "error vector dimensionality mismatch");
+    assert_eq!(noise.len(), centroids.len(), "noise matrix shape mismatch");
+    if dims == 0 {
+        return f64::INFINITY;
+    }
+    assert_eq!(centroids.len() % dims, 0, "centroid matrix shape mismatch");
+    let rows = centroids.len() / dims;
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if backend.available() => {
+            // SAFETY: the guard above confirmed AVX2 support.
+            unsafe { x86::rank_corrected_avx2(centroids, noise, rows, dims, x, errs) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 if backend.available() => {
+            // SAFETY: the guard above confirmed AVX-512F + AVX2 support.
+            unsafe { x86::rank_corrected_avx512(centroids, noise, rows, dims, x, errs) }
+        }
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => {
+            // SAFETY: NEON is baseline on aarch64, and this arm only
+            // compiles for aarch64 targets.
+            unsafe { neon::rank_corrected_neon(centroids, noise, rows, dims, x, errs) }
+        }
+        _ => scalar::rank_corrected(centroids, noise, rows, dims, x, errs),
+    }
+}
+
 // == Scalar backend (the parity reference) ==============================
 
 mod scalar {
@@ -520,6 +583,48 @@ mod scalar {
         }
         out
     }
+
+    /// One dimension's error-corrected term: `max(0, t)` for
+    /// `t = ((x−c)² − ψ²) − e`, or `+∞` when `t` is NaN or `−∞` (the
+    /// poisoned-row rule every backend reproduces with a compare mask).
+    #[inline]
+    pub(super) fn corrected_term(x: f64, c: f64, err: f64, e: f64) -> f64 {
+        let f = x - c;
+        let t = (f * f - err * err) - e;
+        if t > f64::NEG_INFINITY {
+            t.max(0.0)
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Canonical corrected row sweep: the four-lane sum of
+    /// [`corrected_term`] over one row.
+    pub(super) fn row_corrected(c: &[f64], e: &[f64], x: &[f64], errs: &[f64]) -> f64 {
+        let mut l = [0.0f64; 4];
+        for j in 0..x.len() {
+            l[j % 4] += corrected_term(x[j], c[j], errs[j], e[j]);
+        }
+        let [l0, l1, l2, l3] = l;
+        (l0 + l1) + (l2 + l3)
+    }
+
+    pub(super) fn rank_corrected(
+        centroids: &[f64],
+        noise: &[f64],
+        rows: usize,
+        dims: usize,
+        x: &[f64],
+        errs: &[f64],
+    ) -> f64 {
+        let mut best = f64::INFINITY;
+        for i in 0..rows {
+            let row = &centroids[i * dims..i * dims + dims];
+            let erow = &noise[i * dims..i * dims + dims];
+            best = best.min(row_corrected(row, erow, x, errs));
+        }
+        best
+    }
 }
 
 // == AVX2 / AVX-512 backends ============================================
@@ -527,12 +632,14 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m512d, _mm256_add_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_mul_pd, _mm256_set1_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm512_add_pd, _mm512_broadcast_f64x4,
-        _mm512_castpd256_pd512, _mm512_insertf64x4, _mm512_max_pd, _mm512_mul_pd, _mm512_set1_pd,
-        _mm512_setzero_pd, _mm512_storeu_pd, _mm512_sub_pd,
+        __m512d, _mm256_add_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_max_pd,
+        _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd,
+        _mm512_add_pd, _mm512_broadcast_f64x4, _mm512_castpd256_pd512, _mm512_cmp_pd_mask,
+        _mm512_insertf64x4, _mm512_mask_blend_pd, _mm512_max_pd, _mm512_mul_pd, _mm512_set1_pd,
+        _mm512_setzero_pd, _mm512_storeu_pd, _mm512_sub_pd, _CMP_GT_OQ,
     };
 
+    use super::scalar::corrected_term;
     use super::FusedBest;
 
     // SAFETY: every function in this module is `unsafe fn` gated on
@@ -825,6 +932,123 @@ mod x86 {
         }
         out
     }
+    // SAFETY: caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_corrected_avx2(c: &[f64], e: &[f64], x: &[f64], errs: &[f64]) -> f64 {
+        let d = x.len();
+        let chunks = d / 4;
+        let mut acc = _mm256_setzero_pd();
+        let zero = _mm256_setzero_pd();
+        let inf = _mm256_set1_pd(f64::INFINITY);
+        let neg_inf = _mm256_set1_pd(f64::NEG_INFINITY);
+        for i in 0..chunks {
+            let j = 4 * i;
+            // In-bounds: j + 3 < 4 * chunks <= d for all four slices
+            // (the dispatcher asserted matching lengths).
+            let vx = _mm256_loadu_pd(x.as_ptr().add(j));
+            let vc = _mm256_loadu_pd(c.as_ptr().add(j));
+            let verr = _mm256_loadu_pd(errs.as_ptr().add(j));
+            let ve = _mm256_loadu_pd(e.as_ptr().add(j));
+            let diff = _mm256_sub_pd(vx, vc);
+            let t = _mm256_sub_pd(
+                _mm256_sub_pd(_mm256_mul_pd(diff, diff), _mm256_mul_pd(verr, verr)),
+                ve,
+            );
+            // `t > −∞` is false exactly for NaN and −∞: those lanes take +∞.
+            let live = _mm256_cmp_pd::<_CMP_GT_OQ>(t, neg_inf);
+            acc = _mm256_add_pd(acc, _mm256_blendv_pd(inf, _mm256_max_pd(t, zero), live));
+        }
+        let mut l = [0.0f64; 4];
+        _mm256_storeu_pd(l.as_mut_ptr(), acc);
+        for j in 4 * chunks..d {
+            l[j % 4] += corrected_term(x[j], c[j], errs[j], e[j]);
+        }
+        let [l0, l1, l2, l3] = l;
+        (l0 + l1) + (l2 + l3)
+    }
+
+    // SAFETY: caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rank_corrected_avx2(
+        centroids: &[f64],
+        noise: &[f64],
+        rows: usize,
+        dims: usize,
+        x: &[f64],
+        errs: &[f64],
+    ) -> f64 {
+        let mut best = f64::INFINITY;
+        for i in 0..rows {
+            let row = &centroids[i * dims..i * dims + dims];
+            let erow = &noise[i * dims..i * dims + dims];
+            best = best.min(row_corrected_avx2(row, erow, x, errs));
+        }
+        best
+    }
+
+    // SAFETY: caller must ensure AVX-512F and AVX2 are available.
+    #[target_feature(enable = "avx512f", enable = "avx2")]
+    pub(super) unsafe fn rank_corrected_avx512(
+        centroids: &[f64],
+        noise: &[f64],
+        rows: usize,
+        dims: usize,
+        x: &[f64],
+        errs: &[f64],
+    ) -> f64 {
+        let chunks = dims / 4;
+        let zero = _mm512_setzero_pd();
+        let inf = _mm512_set1_pd(f64::INFINITY);
+        let neg_inf = _mm512_set1_pd(f64::NEG_INFINITY);
+        let mut best = f64::INFINITY;
+        let mut i = 0usize;
+        while i + 1 < rows {
+            let ca = &centroids[i * dims..i * dims + dims];
+            let cb = &centroids[(i + 1) * dims..(i + 1) * dims + dims];
+            let ea = &noise[i * dims..i * dims + dims];
+            let eb = &noise[(i + 1) * dims..(i + 1) * dims + dims];
+            let mut acc = _mm512_setzero_pd();
+            for k in 0..chunks {
+                let j = 4 * k;
+                // In-bounds: j + 3 < 4 * chunks <= dims everywhere.
+                let vx = _mm512_broadcast_f64x4(_mm256_loadu_pd(x.as_ptr().add(j)));
+                let verr = _mm512_broadcast_f64x4(_mm256_loadu_pd(errs.as_ptr().add(j)));
+                let vc = pair(
+                    _mm256_loadu_pd(ca.as_ptr().add(j)),
+                    _mm256_loadu_pd(cb.as_ptr().add(j)),
+                );
+                let ve = pair(
+                    _mm256_loadu_pd(ea.as_ptr().add(j)),
+                    _mm256_loadu_pd(eb.as_ptr().add(j)),
+                );
+                let diff = _mm512_sub_pd(vx, vc);
+                let t = _mm512_sub_pd(
+                    _mm512_sub_pd(_mm512_mul_pd(diff, diff), _mm512_mul_pd(verr, verr)),
+                    ve,
+                );
+                // `t > −∞` is false exactly for NaN and −∞: those lanes
+                // take +∞.
+                let live = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(t, neg_inf);
+                acc = _mm512_add_pd(acc, _mm512_mask_blend_pd(live, inf, _mm512_max_pd(t, zero)));
+            }
+            let mut l = [0.0f64; 8];
+            _mm512_storeu_pd(l.as_mut_ptr(), acc);
+            for j in 4 * chunks..dims {
+                l[j % 4] += corrected_term(x[j], ca[j], errs[j], ea[j]);
+                l[4 + j % 4] += corrected_term(x[j], cb[j], errs[j], eb[j]);
+            }
+            let [a0, a1, a2, a3, b0, b1, b2, b3] = l;
+            best = best.min((a0 + a1) + (a2 + a3));
+            best = best.min((b0 + b1) + (b2 + b3));
+            i += 2;
+        }
+        if i < rows {
+            let row = &centroids[i * dims..i * dims + dims];
+            let erow = &noise[i * dims..i * dims + dims];
+            best = best.min(row_corrected_avx2(row, erow, x, errs));
+        }
+        best
+    }
 }
 
 // == NEON backend (aarch64) =============================================
@@ -832,9 +1056,11 @@ mod x86 {
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use std::arch::aarch64::{
-        vaddq_f64, vdupq_n_f64, vld1q_f64, vmaxnmq_f64, vmulq_f64, vst1q_f64, vsubq_f64,
+        vaddq_f64, vbslq_f64, vcgtq_f64, vdupq_n_f64, vld1q_f64, vmaxnmq_f64, vmulq_f64, vst1q_f64,
+        vsubq_f64,
     };
 
+    use super::scalar::corrected_term;
     use super::FusedBest;
 
     // SAFETY: NEON is mandatory on aarch64; the dispatch arms calling
@@ -977,6 +1203,62 @@ mod neon {
             }
         }
         out
+    }
+
+    // SAFETY: caller must be on aarch64 (NEON is baseline there).
+    #[target_feature(enable = "neon")]
+    unsafe fn row_corrected_neon(c: &[f64], e: &[f64], x: &[f64], errs: &[f64]) -> f64 {
+        let d = x.len();
+        let chunks = d / 4;
+        let zero = vdupq_n_f64(0.0);
+        let inf = vdupq_n_f64(f64::INFINITY);
+        let neg_inf = vdupq_n_f64(f64::NEG_INFINITY);
+        let mut acc = [zero, zero];
+        for i in 0..chunks {
+            let j = 4 * i;
+            for (half, lanes) in acc.iter_mut().enumerate() {
+                let o = j + 2 * half;
+                // In-bounds: o + 1 < 4 * chunks <= d for all slices.
+                let vx = vld1q_f64(x.as_ptr().add(o));
+                let vc = vld1q_f64(c.as_ptr().add(o));
+                let verr = vld1q_f64(errs.as_ptr().add(o));
+                let ve = vld1q_f64(e.as_ptr().add(o));
+                let diff = vsubq_f64(vx, vc);
+                let t = vsubq_f64(vsubq_f64(vmulq_f64(diff, diff), vmulq_f64(verr, verr)), ve);
+                // `t > −∞` is false exactly for NaN and −∞: those lanes
+                // take +∞.
+                let live = vcgtq_f64(t, neg_inf);
+                *lanes = vaddq_f64(*lanes, vbslq_f64(live, vmaxnmq_f64(t, zero), inf));
+            }
+        }
+        let [lo, hi] = acc;
+        let mut l = [0.0f64; 4];
+        vst1q_f64(l.as_mut_ptr(), lo);
+        vst1q_f64(l.as_mut_ptr().add(2), hi);
+        for j in 4 * chunks..d {
+            l[j % 4] += corrected_term(x[j], c[j], errs[j], e[j]);
+        }
+        let [l0, l1, l2, l3] = l;
+        (l0 + l1) + (l2 + l3)
+    }
+
+    // SAFETY: caller must be on aarch64 (NEON is baseline there).
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn rank_corrected_neon(
+        centroids: &[f64],
+        noise: &[f64],
+        rows: usize,
+        dims: usize,
+        x: &[f64],
+        errs: &[f64],
+    ) -> f64 {
+        let mut best = f64::INFINITY;
+        for i in 0..rows {
+            let row = &centroids[i * dims..i * dims + dims];
+            let erow = &noise[i * dims..i * dims + dims];
+            best = best.min(row_corrected_neon(row, erow, x, errs));
+        }
+        best
     }
 }
 
@@ -1121,6 +1403,39 @@ mod tests {
         for be in usable() {
             let (i, s) = rank_min_score_with(be, &centroids, &sm_nan, dims, &x);
             assert_eq!((i, s), (0, f64::INFINITY), "{be:?} all-NaN sentinel");
+        }
+    }
+
+    #[test]
+    fn rank_corrected_poisoned_rows_never_win() {
+        let dims = 6usize;
+        let mut st = 0x99_u64;
+        let x = vec_of(dims, &mut st);
+        let errs = vec![0.1; dims];
+        // Row 0 far away, row 1 NaN centroid, row 2 infinite noise (a −∞
+        // term), row 3 a NaN in its tail element.
+        let mut centroids = vec![50.0; 4 * dims];
+        centroids[dims + 2] = f64::NAN;
+        centroids[3 * dims..].copy_from_slice(&x);
+        centroids[4 * dims - 1] = f64::NAN;
+        let mut noise = vec![0.0; 4 * dims];
+        noise[2 * dims + 1] = f64::INFINITY;
+        centroids[2 * dims..3 * dims].copy_from_slice(&x);
+        let far = rank_corrected_with(
+            Backend::Scalar,
+            &centroids[..dims],
+            &noise[..dims],
+            dims,
+            &x,
+            &errs,
+        );
+        assert!(far.is_finite() && far > 0.0);
+        for be in usable() {
+            let got = rank_corrected_with(be, &centroids, &noise, dims, &x, &errs);
+            assert_eq!(got.to_bits(), far.to_bits(), "{be:?} picked a poisoned row");
+            let all_poisoned =
+                rank_corrected_with(be, &centroids[dims..], &noise[dims..], dims, &x, &errs);
+            assert_eq!(all_poisoned, f64::INFINITY, "{be:?} all-poisoned sentinel");
         }
     }
 

@@ -16,7 +16,6 @@
 
 use crate::algorithm::{InsertOutcome, UMicro};
 use crate::decayed::DecayedUMicro;
-use crate::distance::corrected_sq_distance;
 use crate::macrocluster::MacroClustering;
 use crate::state::ClustererState;
 use ustream_common::{AdditiveFeature, Timestamp, UStreamError, UncertainPoint};
@@ -70,8 +69,10 @@ pub trait OnlineClusterer: Send {
     /// isolation against an empty model.
     ///
     /// This powers novelty detection: the engine compares the pre-insertion
-    /// isolation of each arrival against a running baseline.
-    fn isolation(&self, point: &UncertainPoint) -> Option<f64>;
+    /// isolation of each arrival against a running baseline. Takes
+    /// `&mut self` because the kernel implementations serve it from their
+    /// SoA kernel, rebuilding a stale one first.
+    fn isolation(&mut self, point: &UncertainPoint) -> Option<f64>;
 
     /// Snapshot of the current micro-cluster set with statistics brought
     /// current to tick `now`, keyed by stable id, for the pyramidal store.
@@ -120,19 +121,6 @@ pub trait OnlineClusterer: Send {
     }
 }
 
-/// Error-corrected distance from `point` to the nearest of `clusters`,
-/// shared by both UMicro variants.
-fn min_corrected_distance<'a>(
-    point: &UncertainPoint,
-    ecfs: impl Iterator<Item = &'a crate::ecf::Ecf>,
-) -> Option<f64> {
-    let mut best = f64::INFINITY;
-    for ecf in ecfs {
-        best = best.min(corrected_sq_distance(point, ecf));
-    }
-    best.is_finite().then(|| best.sqrt())
-}
-
 impl OnlineClusterer for UMicro {
     type Summary = crate::ecf::Ecf;
 
@@ -159,8 +147,8 @@ impl OnlineClusterer for UMicro {
         UMicro::points_processed(self)
     }
 
-    fn isolation(&self, point: &UncertainPoint) -> Option<f64> {
-        min_corrected_distance(point, UMicro::micro_clusters(self).iter().map(|c| &c.ecf))
+    fn isolation(&mut self, point: &UncertainPoint) -> Option<f64> {
+        UMicro::isolation(self, point)
     }
 
     fn snapshot_at(&mut self, now: Timestamp) -> ClusterSetSnapshot<Self::Summary> {
@@ -206,11 +194,8 @@ impl OnlineClusterer for DecayedUMicro {
         DecayedUMicro::points_processed(self)
     }
 
-    fn isolation(&self, point: &UncertainPoint) -> Option<f64> {
-        min_corrected_distance(
-            point,
-            DecayedUMicro::micro_clusters(self).iter().map(|c| &c.ecf),
-        )
+    fn isolation(&mut self, point: &UncertainPoint) -> Option<f64> {
+        DecayedUMicro::isolation(self, point)
     }
 
     fn snapshot_at(&mut self, now: Timestamp) -> ClusterSetSnapshot<Self::Summary> {
@@ -253,7 +238,7 @@ impl<T: OnlineClusterer + ?Sized> OnlineClusterer for Box<T> {
         (**self).points_processed()
     }
 
-    fn isolation(&self, point: &UncertainPoint) -> Option<f64> {
+    fn isolation(&mut self, point: &UncertainPoint) -> Option<f64> {
         (**self).isolation(point)
     }
 

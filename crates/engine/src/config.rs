@@ -36,8 +36,12 @@ pub struct EngineConfig {
     /// disables decay.
     pub decay_half_life: Option<f64>,
     /// Novelty alerting: a record is flagged when its error-corrected
-    /// distance to the nearest micro-cluster exceeds `novelty_factor ×` the
-    /// baseline isolation. `None` disables the (O(k·d)-per-point) monitor.
+    /// distance to the nearest micro-cluster (its pre-insertion
+    /// [`OnlineClusterer::isolation`](umicro::OnlineClusterer::isolation))
+    /// exceeds `novelty_factor ×` the baseline isolation. The isolation is
+    /// one corrected sweep of the shard's SIMD kernel over every live
+    /// cluster — O(k·d) per point, no division — and is skipped entirely
+    /// when `None` disables the monitor.
     pub novelty_factor: Option<f64>,
     /// Baseline statistic the factor multiplies.
     pub novelty_baseline: NoveltyBaseline,

@@ -2078,6 +2078,86 @@ mod tests {
         assert!(report.alerts_raised >= 1);
     }
 
+    /// The engine's novelty alerts (isolation served by the kernel's
+    /// corrected sweep) are the ones a bare `UMicro` replay raises when
+    /// isolation is the paper's formula — the minimum of
+    /// `distance::corrected_sq_distance` over the pre-insertion clusters —
+    /// under the same rule: warm-up 100, factor 8, running-mean baseline of
+    /// non-alerting isolations.
+    #[test]
+    fn novelty_alerts_match_oracle_replay() {
+        const REL_TOL: f64 = 1e-9;
+        const DIMS: usize = 5;
+        let mut state = 0x0dd_5eed_u64;
+        let mut unit = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Three blobs, then a burst of ten outliers each far from the
+        // model and from one another, then the blobs again.
+        let points: Vec<UncertainPoint> = (1..=1_200u64)
+            .map(|t| {
+                let centre = if (700..710).contains(&t) {
+                    500.0 * (t - 699) as f64
+                } else {
+                    (t % 3) as f64 * 10.0
+                };
+                let values = (0..DIMS).map(|_| centre + unit() - 0.5).collect();
+                let errors = (0..DIMS).map(|_| 0.2 * unit()).collect();
+                UncertainPoint::new(values, errors, t, None)
+            })
+            .collect();
+        let cfg = UMicroConfig::new(8, DIMS).unwrap();
+
+        let mut bare = UMicro::new(cfg.clone());
+        let (mut mean, mut samples) = (0.0f64, 0u64);
+        let mut want = Vec::new();
+        for (i, p) in points.iter().enumerate() {
+            let iso = bare
+                .micro_clusters()
+                .iter()
+                .map(|c| umicro::distance::corrected_sq_distance(p, &c.ecf))
+                .fold(f64::INFINITY, f64::min);
+            let out = bare.insert(p);
+            if !iso.is_finite() {
+                continue;
+            }
+            let iso = iso.sqrt();
+            if samples >= 100 && iso > 8.0 * mean.max(1e-12) {
+                want.push((i as u64 + 1, iso, namespaced_id(0, out.cluster_id)));
+            } else {
+                samples += 1;
+                mean += (iso - mean) / samples as f64;
+            }
+        }
+        assert!(
+            want.iter().filter(|a| (700..710).contains(&a.0)).count() == 10,
+            "the replay must flag the whole burst: {want:?}"
+        );
+
+        let e = EngineBuilder::from_config(EngineConfig::new(cfg))
+            .build()
+            .unwrap();
+        e.push_slice(&points).unwrap();
+        e.flush();
+        let got = e.drain_alerts();
+        e.shutdown();
+        assert_eq!(got.len(), want.len(), "alerts {got:?} vs replay {want:?}");
+        for (a, (position, iso, cluster_id)) in got.iter().zip(&want) {
+            assert_eq!(a.position, *position);
+            assert_eq!(a.cluster_id, *cluster_id, "position {position}");
+            assert!(
+                (a.isolation - iso).abs() <= REL_TOL * iso.max(1.0),
+                "position {position}: engine isolation {} vs oracle {iso}",
+                a.isolation
+            );
+        }
+    }
+
     #[test]
     fn quantile_baseline_novelty_alerting() {
         let e = EngineBuilder::from_config(
@@ -2612,7 +2692,7 @@ mod tests {
             self.inner.points_processed()
         }
 
-        fn isolation(&self, point: &UncertainPoint) -> Option<f64> {
+        fn isolation(&mut self, point: &UncertainPoint) -> Option<f64> {
             self.inner.isolation(point)
         }
 
@@ -2659,7 +2739,7 @@ mod tests {
             self.inner.points_processed()
         }
 
-        fn isolation(&self, point: &UncertainPoint) -> Option<f64> {
+        fn isolation(&mut self, point: &UncertainPoint) -> Option<f64> {
             self.inner.isolation(point)
         }
 

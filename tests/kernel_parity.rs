@@ -6,16 +6,22 @@
 //! including after budget-driven merges and retirements, after decay
 //! synchronisation marks the kernel stale, and at every absorbing
 //! insertion of a stream. Every SIMD backend must match the scalar
-//! backend bit for bit.
+//! backend bit for bit. The novelty isolation each clusterer serves from
+//! its kernel's corrected sweep must match the minimum of
+//! `distance::corrected_sq_distance` (plain squared Euclidean distance for
+//! CluStream) before every insertion and right after the kernel goes
+//! stale.
 
 use clustream::{CluStream, CluStreamConfig};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use umicro::distance::expected_sq_distance;
+use umicro::distance::{corrected_sq_distance, expected_sq_distance};
 use umicro::kernel::simd::{self, Backend};
+use umicro::kernel::{ClusterKernel, KernelRow};
 use umicro::similarity::{dimension_counting_similarity, GlobalVariance};
 use umicro::{DecayedUMicro, MicroCluster, SimilarityMode, UMicro, UMicroConfig};
-use ustream_common::UncertainPoint;
+use ustream_common::point::sq_euclidean;
+use ustream_common::{AdditiveFeature, UncertainPoint};
 
 const DIMS: usize = 3;
 const REL_TOL: f64 = 1e-9;
@@ -115,8 +121,223 @@ fn fill(state: &mut u64, n: usize, lo: f64, hi: f64) -> Vec<f64> {
     (0..n).map(|_| lo + (hi - lo) * unit(state)).collect()
 }
 
+/// A seeded stream over `dims` dimensions: values in `[-100, 100)`,
+/// errors in `[0, 10)`, timestamps `first, first + 1, …`.
+fn seeded_stream(dims: usize, n: usize, seed: u64, first: u64) -> Vec<UncertainPoint> {
+    let mut s = seed;
+    (0..n as u64)
+        .map(|t| {
+            let values = fill(&mut s, dims, -100.0, 100.0);
+            let errors = fill(&mut s, dims, 0.0, 10.0);
+            UncertainPoint::new(values, errors, first + t, None)
+        })
+        .collect()
+}
+
+/// Isolation by the paper's formula alone: the square root of the
+/// minimum error-corrected squared distance over `clusters`, `None` when
+/// no cluster is finitely near.
+fn oracle_isolation(p: &UncertainPoint, clusters: &[MicroCluster]) -> Option<f64> {
+    let best = clusters
+        .iter()
+        .map(|c| corrected_sq_distance(p, &c.ecf))
+        .fold(f64::INFINITY, f64::min);
+    best.is_finite().then(|| best.sqrt())
+}
+
+fn close_opt(a: Option<f64>, b: Option<f64>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => close(a, b),
+        (None, None) => true,
+        _ => false,
+    }
+}
+
+/// A raw kernel row, for feeding hand-built (poisoned) rows to a kernel.
+struct RawRow {
+    centroid: Vec<f64>,
+    noise: Vec<f64>,
+}
+
+impl KernelRow for RawRow {
+    fn write_row(&self, centroid: &mut [f64], noise: &mut [f64]) {
+        centroid.copy_from_slice(&self.centroid);
+        noise.copy_from_slice(&self.noise);
+    }
+
+    fn radii(&self) -> (f64, f64) {
+        (0.0, 0.0)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// UMicro: before every insertion of a stream over an awkward
+    /// dimensionality the kernel-served isolation matches the oracle, and
+    /// so does a fresh instance probed right after `import_state` (stale
+    /// kernel, rebuilt by the isolation call itself).
+    #[test]
+    fn umicro_isolation_matches_oracle(
+        dims in arb_awkward_dims(),
+        n in 2usize..50,
+        seed in 0u64..u64::MAX,
+    ) {
+        let cfg = UMicroConfig::new(4, dims).unwrap();
+        let mut alg = UMicro::new(cfg.clone());
+        for p in &seeded_stream(dims, n, seed, 1) {
+            let want = oracle_isolation(p, alg.micro_clusters());
+            let got = alg.isolation(p);
+            prop_assert!(close_opt(got, want), "t={}: kernel {got:?} vs oracle {want:?}",
+                p.timestamp());
+            alg.insert(p);
+        }
+        let mut restored = UMicro::new(cfg);
+        restored.import_state(&alg.export_state()).unwrap();
+        for p in &seeded_stream(dims, 4, seed ^ 0x5eed, n as u64 + 1) {
+            let want = oracle_isolation(p, restored.micro_clusters());
+            let got = restored.isolation(p);
+            prop_assert!(close_opt(got, want), "after import: kernel {got:?} vs oracle {want:?}");
+            restored.insert(p);
+        }
+    }
+
+    /// DecayedUMicro: `synchronize` rescales every cluster behind the
+    /// kernel's back; the isolation right after it, at every later
+    /// insertion, and after `import_state` still matches the oracle over
+    /// the statistics as stored.
+    #[test]
+    fn decayed_isolation_matches_oracle_after_synchronize(
+        dims in arb_awkward_dims(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let cfg = UMicroConfig::new(4, dims).unwrap();
+        let mut alg = DecayedUMicro::with_half_life(cfg.clone(), 300.0);
+        for p in &seeded_stream(dims, 12, seed, 1) {
+            alg.insert(p);
+        }
+        alg.synchronize(80);
+        for p in &seeded_stream(dims, 12, seed ^ 0xd3ca, 81) {
+            let want = oracle_isolation(p, alg.micro_clusters());
+            let got = alg.isolation(p);
+            prop_assert!(close_opt(got, want), "t={}: kernel {got:?} vs oracle {want:?}",
+                p.timestamp());
+            alg.insert(p);
+        }
+        let mut restored = DecayedUMicro::with_half_life(cfg, 300.0);
+        restored.import_state(&alg.export_state()).unwrap();
+        for p in &seeded_stream(dims, 3, seed ^ 0x5eed, 100) {
+            let want = oracle_isolation(p, restored.micro_clusters());
+            let got = restored.isolation(p);
+            prop_assert!(close_opt(got, want), "after import: kernel {got:?} vs oracle {want:?}");
+        }
+    }
+
+    /// CluStream: the corrected sweep with a zero error row is plain
+    /// Euclidean isolation, before every insertion and right after k-means
+    /// seeding leaves the kernel stale.
+    #[test]
+    fn clustream_isolation_matches_oracle(
+        dims in arb_awkward_dims(),
+        n in 2usize..50,
+        seed in 0u64..u64::MAX,
+    ) {
+        let oracle = |p: &UncertainPoint, alg: &CluStream| {
+            let best = alg
+                .micro_clusters()
+                .iter()
+                .map(|c| sq_euclidean(p.values(), &c.cf.centroid()))
+                .fold(f64::INFINITY, f64::min);
+            best.is_finite().then(|| best.sqrt())
+        };
+        let stream = seeded_stream(dims, n, seed, 1);
+        let mut alg = CluStream::new(CluStreamConfig::new(4, dims).unwrap());
+        for p in &stream {
+            let want = oracle(p, &alg);
+            let got = alg.isolation(p);
+            prop_assert!(close_opt(got, want), "t={}: kernel {got:?} vs oracle {want:?}",
+                p.timestamp());
+            alg.insert(p);
+        }
+        let mut seeded = CluStream::new(CluStreamConfig::new(4, dims).unwrap());
+        seeded.seed_with_kmeans(&stream, seed);
+        for p in &seeded_stream(dims, 3, seed ^ 0x5eed, n as u64 + 1) {
+            let want = oracle(p, &seeded);
+            let got = seeded.isolation(p);
+            prop_assert!(close_opt(got, want), "after seeding: kernel {got:?} vs oracle {want:?}");
+        }
+    }
+
+    /// Every backend's corrected sweep is bitwise identical to scalar
+    /// over awkward dimensionalities.
+    #[test]
+    fn rank_corrected_bitwise_identical_across_backends(
+        dims in arb_awkward_dims(),
+        rows in 1usize..9,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut s = seed;
+        let centroids = fill(&mut s, dims * rows, -100.0, 100.0);
+        let noise = fill(&mut s, dims * rows, 0.0, 10.0);
+        let x = fill(&mut s, dims, -100.0, 100.0);
+        let errs = fill(&mut s, dims, 0.0, 10.0);
+        let want = simd::rank_corrected_with(Backend::Scalar, &centroids, &noise, dims, &x, &errs);
+        for backend in compiled_available() {
+            let got = simd::rank_corrected_with(backend, &centroids, &noise, dims, &x, &errs);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "backend {}", backend.name());
+        }
+    }
+
+    /// A row whose term overflows to NaN (a squared deviation and a
+    /// centroid-noise entry both overflowing to +∞) never wins the
+    /// corrected sweep on any backend, and a kernel whose every row is so
+    /// poisoned reports no isolation at all.
+    #[test]
+    fn corrected_nan_rows_never_win(
+        dims in arb_awkward_dims(),
+        rows in 2usize..8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut s = seed;
+        let mut centroids = fill(&mut s, dims * rows, -100.0, 100.0);
+        let mut noise = fill(&mut s, dims * rows, 0.0, 10.0);
+        let x = fill(&mut s, dims, -100.0, 100.0);
+        let errs = fill(&mut s, dims, 0.0, 10.0);
+        let huge = 1e300;
+        let poison = |centroids: &mut [f64], noise: &mut [f64], row: usize| {
+            let j = row * dims + (seed as usize) % dims;
+            centroids[j] = huge;
+            noise[j] = huge * huge;
+        };
+        let victim = (seed as usize) % rows;
+        // The healthy rows' minimum, from the scalar reference.
+        let mut healthy = f64::INFINITY;
+        for i in (0..rows).filter(|&i| i != victim) {
+            let r = i * dims..(i + 1) * dims;
+            healthy = healthy.min(simd::rank_corrected_with(
+                Backend::Scalar, &centroids[r.clone()], &noise[r], dims, &x, &errs));
+        }
+        poison(&mut centroids, &mut noise, victim);
+        for backend in compiled_available() {
+            let got = simd::rank_corrected_with(backend, &centroids, &noise, dims, &x, &errs);
+            prop_assert_eq!(got.to_bits(), healthy.to_bits(), "backend {}", backend.name());
+        }
+        for i in 0..rows {
+            poison(&mut centroids, &mut noise, i);
+        }
+        let mut kernel = ClusterKernel::new(dims);
+        for i in 0..rows {
+            kernel.push(&RawRow {
+                centroid: centroids[i * dims..(i + 1) * dims].to_vec(),
+                noise: noise[i * dims..(i + 1) * dims].to_vec(),
+            });
+        }
+        prop_assert_eq!(kernel.nearest_corrected_sq(&x, &errs), None);
+        for backend in compiled_available() {
+            let got = simd::rank_corrected_with(backend, &centroids, &noise, dims, &x, &errs);
+            prop_assert_eq!(got, f64::INFINITY, "backend {}", backend.name());
+        }
+    }
 
     /// UMicro: after a random stream through a tight budget (forcing
     /// retirements), every kernel distance and the kernel-ranked nearest
